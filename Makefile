@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet tempest-vet test race chaos bench bench-instrument bench-critpath bench-analysis bench-smoke fuzz-smoke collectd-smoke clean
+.PHONY: all build vet cross-vet tempest-vet test race chaos bench bench-instrument bench-critpath bench-analysis bench-smoke fuzz-smoke collectd-smoke clean
 
 all: vet tempest-vet build test
 
@@ -9,6 +9,14 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Vet for a 32-bit GOARCH and for arm64 from any host: 386 catches
+# constants and arithmetic that overflow a 32-bit int and builds the
+# instrument package's runtime.Stack fallback; arm64 checks the getg
+# stub's assembly against its Go declaration (asmdecl).
+cross-vet:
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # Project-specific invariant checks (internal/analysis passes): Enter/Exit
 # pairing, wall-clock bans in virtual-time packages, lock annotations,

@@ -199,6 +199,11 @@ func run(args []string, out io.Writer, ready chan<- *collect.Collector) error {
 	if f, ok := out.(interface{ Sync() error }); ok {
 		f.Sync()
 	}
+	// Catch shutdown signals before announcing readiness: a SIGTERM sent
+	// as soon as the daemon is up must stop it cleanly, not kill it.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	if ready != nil {
 		ready <- c
 	}
@@ -223,10 +228,6 @@ func run(args []string, out io.Writer, ready chan<- *collect.Collector) error {
 			errc <- nil
 		}()
 	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 
 	select {
 	case s := <-sig:

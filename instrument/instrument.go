@@ -35,13 +35,18 @@
 // path: each slot carries one atomic mode word, so a collector can
 // flip instrumentation density on a live, saturated workload.
 //
-// Lanes are allocated per goroutine (keyed by goroutine id), matching
-// the tracer's one-lane-per-worker model, so instrumented code may be
-// freely concurrent.
+// Detail mode records on a lane bound to the calling goroutine, found by
+// goroutine id (a few nanoseconds through the getg stub on amd64 and
+// arm64, a runtime.Stack parse elsewhere; goid.go), so instrumented code
+// may be freely concurrent. A lane is an execution slot, not a
+// goroutine: when a goroutine's top-level call returns, its lane may
+// pass to a new goroutine once a drain has emptied it (lanes.go), so a
+// goroutine-per-request server holds lanes for its peak concurrency plus
+// the requests started since the last drain, not for every request it
+// ever served.
 package instrument
 
 import (
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -120,9 +125,15 @@ func init() {
 // binding connects the slot table to one tracer.
 type binding struct {
 	tracer *trace.Tracer
-	mu     sync.Mutex
-	fids   []uint32 // guarded by mu; slot → tracer function id
-	lanes  sync.Map // goroutine id (uint64) → *trace.Lane
+	// fids is the copy-on-write slot → tracer function id table: extend
+	// swaps in a grown copy under mu, Trace reads it with one atomic load.
+	fids atomic.Pointer[[]uint32]
+	mu   sync.Mutex
+	free []freeSlot // guarded by mu; released slots, oldest first
+	// ownersMu keeps mu off the detail path: every detail call looks up
+	// its goroutine's slot, and only takes need mu.
+	ownersMu sync.Mutex
+	owners   map[uint64]*laneSlot // guarded by ownersMu; goroutine id → its lane slot
 }
 
 // Register interns a package's instrumented function names and returns
@@ -164,7 +175,8 @@ func Attach(tr *trace.Tracer) {
 		active.Store(nil)
 		return
 	}
-	b := &binding{tracer: tr}
+	b := &binding{tracer: tr, owners: map[uint64]*laneSlot{}}
+	b.fids.Store(new([]uint32))
 	regMu.Lock()
 	b.extend(names)
 	regMu.Unlock()
@@ -191,9 +203,16 @@ func Attached() bool { return active.Load() != nil }
 func (b *binding) extend(all []string) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for i := len(b.fids); i < len(all); i++ {
-		b.fids = append(b.fids, b.tracer.RegisterFunc(all[i]))
+	old := *b.fids.Load()
+	if len(old) >= len(all) {
+		return
 	}
+	grown := make([]uint32, len(all))
+	copy(grown, old)
+	for i := len(old); i < len(all); i++ {
+		grown[i] = b.tracer.RegisterFunc(all[i])
+	}
+	b.fids.Store(&grown)
 }
 
 // noop is returned when instrumentation is detached.
@@ -205,11 +224,18 @@ var noop = func() {}
 // attached, the slot's mode decides the cost: ModeOff is three atomic
 // loads and the shared no-op, ModeCoarse is a clock read plus two
 // atomic adds on exit, ModeDetail is the full lane enter/exit pair.
+// Trace itself is small enough to inline, so the detached check costs
+// no call.
 func Trace(slot int) func() {
 	b := active.Load()
 	if b == nil {
 		return noop
 	}
+	return b.trace(slot)
+}
+
+// trace is Trace with a tracer attached.
+func (b *binding) trace(slot int) func() {
 	tab := *slots.Load()
 	if slot < 0 || slot >= len(tab) {
 		return noop
@@ -233,22 +259,23 @@ func Trace(slot int) func() {
 		}
 	}
 	// ModeDetail (and any unknown mode value, defensively).
-	b.mu.Lock()
-	if slot >= len(b.fids) {
-		b.mu.Unlock()
+	fids := *b.fids.Load()
+	if slot >= len(fids) {
 		return noop
 	}
-	fid := b.fids[slot]
-	b.mu.Unlock()
-	lane := b.lane(goroutineID())
-	start := b.tracer.Now()
+	fid := fids[slot]
+	s := b.acquire(goroutineID())
 	// Balanced by construction: the returned closure is the Exit and
-	// callers defer it.
-	lane.Enter(fid) //tempest:ignore enterexit
+	// callers defer it. The event timestamps double as the coarse
+	// bucket's clock reads.
+	start := s.lane.EnterNow(fid) //tempest:ignore enterexit
 	return func() {
-		_ = lane.Exit(fid)
+		end, _ := s.lane.ExitNow(fid)
 		st.calls.Add(1)
-		st.nanos.Add(int64(b.tracer.Now() - start))
+		st.nanos.Add(int64(end - start))
+		if s.lane.Depth() == 0 {
+			b.release(s)
+		}
 	}
 }
 
@@ -401,32 +428,4 @@ func Current() Status {
 	}
 	sort.Slice(s.Overrides, func(i, j int) bool { return s.Overrides[i].Name < s.Overrides[j].Name })
 	return s
-}
-
-// lane returns (or allocates) the lane for one goroutine.
-func (b *binding) lane(gid uint64) *trace.Lane {
-	if l, ok := b.lanes.Load(gid); ok {
-		return l.(*trace.Lane)
-	}
-	l, _ := b.lanes.LoadOrStore(gid, b.tracer.NewLane())
-	return l.(*trace.Lane)
-}
-
-// goroutineID parses the current goroutine's id from its stack header
-// ("goroutine 123 [running]: …"). The ~µs cost is the price of
-// transparent per-goroutine lanes without threading context through
-// instrumented signatures; it is far below the per-sample costs the
-// paper budgets for (§3.2), and only paid while a tracer is attached.
-func goroutineID() uint64 {
-	var buf [32]byte
-	n := runtime.Stack(buf[:], false)
-	// Skip "goroutine ".
-	var id uint64
-	for _, c := range buf[10:n] {
-		if c < '0' || c > '9' {
-			break
-		}
-		id = id*10 + uint64(c-'0')
-	}
-	return id
 }

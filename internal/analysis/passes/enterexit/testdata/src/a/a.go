@@ -27,6 +27,18 @@ func straightLine(l *trace.Lane, fid uint32) {
 	_ = l.Exit(fid)
 }
 
+func timedPair(l *trace.Lane, fid uint32) {
+	start := l.EnterNow(fid)
+	work()
+	end, _ := l.ExitNow(fid)
+	_ = end - start
+}
+
+func timedMissingExit(l *trace.Lane, fid uint32) {
+	_ = l.EnterNow(fid) // want `not matched by an Exit`
+	work()
+}
+
 func mismatchedIDs(l *trace.Lane, a, b uint32) {
 	l.Enter(a) // want `not matched by an Exit`
 	work()

@@ -93,7 +93,9 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		return group[i].parentRank < group[j].parentRank
 	})
 
-	newCtx := c.ctx*4096 + seq*64 + colorIndex + 1
+	// In int64, so the product neither wraps on 32-bit ints before the
+	// check nor compares against a constant int cannot hold.
+	newCtx := int64(c.ctx)*4096 + int64(seq)*64 + int64(colorIndex) + 1
 	if newCtx >= maxCtx {
 		return nil, fmt.Errorf("mpi: split nesting too deep: context id overflow")
 	}
@@ -101,7 +103,7 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		size:      len(group),
 		transport: c.transport,
 		hooks:     c.hooks,
-		ctx:       newCtx,
+		ctx:       int(newCtx),
 		group:     make([]int, len(group)),
 		invGroup:  make(map[int]int, len(group)),
 	}

@@ -3,6 +3,7 @@ package mpi
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -173,6 +174,32 @@ func TestSplitNested(t *testing.T) {
 			return err
 		}
 		return sub2.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestSplitContextIDOverflow(t *testing.T) {
+	// Each nesting level multiplies the context id by 4096: ids 1, 4097
+	// and 16781313 fit under 1<<31, the fourth level does not.
+	err := Run(2, func(c *Comm) error {
+		comm := c
+		for level := 1; level <= 3; level++ {
+			sub, err := comm.Split(0, comm.Rank())
+			if err != nil {
+				return fmt.Errorf("level %d: %w", level, err)
+			}
+			comm = sub
+		}
+		if comm.Ctx() != 16781313 {
+			return fmt.Errorf("level 3 context id %d, want 16781313", comm.Ctx())
+		}
+		sub, err := comm.Split(0, comm.Rank())
+		if err == nil || !strings.Contains(err.Error(), "context id overflow") {
+			return fmt.Errorf("level 4 split = (%v, %v), want a context id overflow error", sub, err)
+		}
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

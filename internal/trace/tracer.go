@@ -37,6 +37,10 @@ type Tracer struct {
 	lane0   *Lane
 	dropped atomic.Uint64
 	events  atomic.Uint64
+	// drainsStarted numbers Drain calls as they begin; drainsDone is the
+	// highest number whose lanes have been emptied (see DrainedSince).
+	drainsStarted atomic.Uint64
+	drainsDone    atomic.Uint64
 }
 
 // Lane is a single execution lane's event stream plus its shadow call
@@ -89,8 +93,10 @@ func (t *Tracer) NodeID() uint32 { return t.cfg.NodeID }
 // Rank returns the configured rank.
 func (t *Tracer) Rank() uint32 { return t.cfg.Rank }
 
-// NewLane allocates an execution lane. Lanes are never freed; a profiled
-// program creates one per worker goroutine.
+// NewLane allocates an execution lane. The tracer never frees a lane:
+// a profiled program creates one per worker goroutine, and the
+// instrument runtime hands each of its lanes to one goroutine after
+// another, reusing a lane only once a Drain has emptied it.
 func (t *Tracer) NewLane() *Lane {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -179,6 +185,31 @@ func (l *Lane) Exit(fid uint32) error {
 	return nil
 }
 
+// EnterNow is Enter returning the timestamp it recorded, so a caller
+// timing the call against the tracer clock needs no clock read of its
+// own.
+func (l *Lane) EnterNow(fid uint32) time.Duration {
+	ts := l.tracer.now()
+	l.stack = append(l.stack, fid)
+	l.record(Event{TS: ts, Lane: l.id, Kind: KindEnter, FuncID: fid})
+	return ts
+}
+
+// ExitNow is Exit returning the timestamp it recorded.
+func (l *Lane) ExitNow(fid uint32) (time.Duration, error) {
+	ts := l.tracer.now()
+	l.record(Event{TS: ts, Lane: l.id, Kind: KindExit, FuncID: fid})
+	if len(l.stack) == 0 {
+		return ts, ErrStackEmpty
+	}
+	top := l.stack[len(l.stack)-1]
+	l.stack = l.stack[:len(l.stack)-1]
+	if top != fid {
+		return ts, fmt.Errorf("%w: entered id %d, exiting id %d", ErrStackMismatch, top, fid)
+	}
+	return ts, nil
+}
+
 // Depth reports the current shadow-stack depth.
 func (l *Lane) Depth() int { return len(l.stack) }
 
@@ -247,6 +278,7 @@ func (t *Tracer) Snapshot() ([]Event, *SymTab) {
 // can flush the trace in segments while recording continues — buffer
 // pressure (and KindDrop events) resets with every drain.
 func (t *Tracer) Drain() ([]Event, *SymTab) {
+	n := t.drainsStarted.Add(1)
 	t.mu.Lock()
 	lanes := append([]*Lane(nil), t.lanes...)
 	t.mu.Unlock()
@@ -257,9 +289,24 @@ func (t *Tracer) Drain() ([]Event, *SymTab) {
 		l.buf = nil
 		l.mu.Unlock()
 	}
+	// Raise drainsDone to n; an overlapping later Drain may already have.
+	for d := t.drainsDone.Load(); d < n; d = t.drainsDone.Load() {
+		if t.drainsDone.CompareAndSwap(d, n) {
+			break
+		}
+	}
 	sortEvents(all)
 	return all, t.symtab.clone()
 }
+
+// DrainEpoch stamps a point in the tracer's drain sequence: the number
+// of Drain calls begun so far.
+func (t *Tracer) DrainEpoch() uint64 { return t.drainsStarted.Load() }
+
+// DrainedSince reports whether a Drain that began after DrainEpoch
+// returned epoch has finished, so every event recorded before that
+// stamp has left the lane buffers.
+func (t *Tracer) DrainedSince(epoch uint64) bool { return t.drainsDone.Load() > epoch }
 
 // Trace bundles everything the parser needs from one rank's run.
 type Trace struct {

@@ -80,6 +80,58 @@ func TestExitValidation(t *testing.T) {
 	}
 }
 
+func TestEnterNowExitNowReturnEventTimestamps(t *testing.T) {
+	tr, clk := newTestTracer(t, 0)
+	lane := tr.NewLane()
+	foo := tr.RegisterFunc("foo")
+	bar := tr.RegisterFunc("bar")
+
+	clk.Advance(3 * time.Millisecond)
+	start := lane.EnterNow(foo)
+	clk.Advance(4 * time.Millisecond)
+	end, err := lane.ExitNow(foo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs, _ := tr.Snapshot()
+	if len(evs) != 2 || evs[0].TS != start || evs[1].TS != end || end-start != 4*time.Millisecond {
+		t.Fatalf("EnterNow/ExitNow returned %v/%v, events %+v", start, end, evs)
+	}
+	if _, err := lane.ExitNow(foo); !errors.Is(err, ErrStackEmpty) {
+		t.Errorf("empty-stack ExitNow err = %v", err)
+	}
+	lane.EnterNow(foo)
+	if _, err := lane.ExitNow(bar); !errors.Is(err, ErrStackMismatch) {
+		t.Errorf("mismatched ExitNow err = %v", err)
+	}
+}
+
+func TestDrainedSince(t *testing.T) {
+	tr, _ := newTestTracer(t, 0)
+	lane := tr.NewLane()
+	foo := tr.RegisterFunc("foo")
+
+	lane.Enter(foo)
+	_ = lane.Exit(foo)
+	epoch := tr.DrainEpoch()
+	if tr.DrainedSince(epoch) {
+		t.Fatal("DrainedSince true before any drain")
+	}
+	tr.Snapshot()
+	if tr.DrainedSince(epoch) {
+		t.Fatal("Snapshot counted as a drain")
+	}
+	if ev, _ := tr.Drain(); len(ev) != 2 {
+		t.Fatalf("drained %d events, want 2", len(ev))
+	}
+	if !tr.DrainedSince(epoch) {
+		t.Fatal("DrainedSince false after a drain that began later")
+	}
+	if next := tr.DrainEpoch(); tr.DrainedSince(next) {
+		t.Fatal("a new epoch counts the drain that came before it")
+	}
+}
+
 func TestRecursionDepth(t *testing.T) {
 	// Table 1's micro-benchmark E exercises recursion; the shadow stack
 	// must handle self-calls.
